@@ -14,8 +14,10 @@ Guarantees:
   every result (fresh or cached) is round-tripped through the same
   canonical JSON payload, so parallel runs produce results identical to
   serial runs and byte-identical cache files.
-* **Per-job timeout** — each job runs in its own process; a job that
-  exceeds ``timeout`` seconds is terminated and retried.
+* **Per-job timeout** — jobs run in a pool of long-lived worker
+  processes (forked once each, then fed job after job, keeping their
+  program cache warm); a job that exceeds ``timeout`` seconds has its
+  worker terminated and replaced, and is retried.
 * **Bounded retry** — crashed / timed-out / raising jobs are retried up
   to ``retries`` extra times before being reported as failures.
 * **Structured manifest** — a :class:`RunManifest` records per-job
@@ -29,7 +31,7 @@ need no code changes to run in parallel.
 
 Execution is factored into an incremental :class:`JobExecutor` —
 submit/step semantics over the worker pool, blocking in
-``multiprocessing.connection.wait`` on all live pipes instead of
+``multiprocessing.connection.wait`` on the busy workers' pipes instead of
 busy-polling — so long-lived drivers (the ``repro serve`` daemon's DAG
 scheduler) can feed jobs one at a time and interleave their own work,
 while :meth:`Runner.run` stays the batch front door.
@@ -38,6 +40,7 @@ while :meth:`Runner.run` stays the batch front door.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.util
 import os
 import sys
 import time
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 from pathlib import Path
 from typing import (Deque, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+                    Sequence)
 
 from repro.common.config import CoreConfig
 from repro.core.simulator import SimResult, Simulator
@@ -256,26 +259,42 @@ class RunnerError(RuntimeError):
 # Worker side
 # --------------------------------------------------------------------------
 
-def _worker_main(conn, workload: str, config: CoreConfig,
-                 warmup: int, measure: int, seed: int,
-                 sampling: Optional[SamplingPlan] = None) -> None:
-    """Run one simulation and ship the serialised payload back."""
-    try:
-        from repro.analysis import harness
-        if sampling is not None:
-            result = SamplingSimulator(config, seed=seed).run(workload,
-                                                              sampling)
-        else:
-            result = Simulator(config, seed=seed).run(workload, warmup,
-                                                      measure)
-        conn.send(("ok", harness.serialize_result(result)))
-    except BaseException:
+def _run_job(job: Job) -> dict:
+    """Simulate ``job`` in this process; return its serialised payload."""
+    from repro.analysis import harness
+    if job.sampling is not None:
+        result = SamplingSimulator(job.config, seed=job.seed).run(
+            job.workload, job.sampling)
+    else:
+        result = Simulator(job.config, seed=job.seed).run(
+            job.workload, job.warmup, job.measure)
+    return harness.serialize_result(result)
+
+
+def _worker_main(conn) -> None:
+    """Serve jobs from ``conn`` until the parent closes it (or dies).
+
+    The worker keeps :func:`~repro.workloads.profiles.build_workload`'s
+    program cache across jobs (at most one program per workload name)
+    and only the trace its latest job used, so its memory stays bounded
+    however many leaves it runs. A job that raises is reported as an
+    ``("error", traceback)`` message and the worker waits for the next.
+    """
+    from repro.workloads import profiles
+    while True:
         try:
-            conn.send(("error", traceback.format_exc()))
+            job = conn.recv()
+        except EOFError:
+            return
+        try:
+            message = ("ok", _run_job(job))
         except Exception:
-            pass
-    finally:
-        conn.close()
+            message = ("error", traceback.format_exc())
+        try:
+            conn.send(message)
+        except OSError:
+            return      # the parent is gone
+        profiles.trim_trace_cache(1)
 
 
 def _mp_context():
@@ -292,6 +311,20 @@ class _Task:
     first_started: float = 0.0
 
 
+@dataclass
+class _Worker:
+    """One long-lived worker process and the parent's end of its pipe."""
+
+    proc: object
+    conn: object
+    task: Optional[_Task] = None    # the job it is running; None when idle
+
+    def stop(self) -> None:
+        self.proc.terminate()
+        self.proc.join()
+        self.conn.close()
+
+
 # --------------------------------------------------------------------------
 # Incremental executor
 # --------------------------------------------------------------------------
@@ -302,15 +335,15 @@ class JobEvent:
 
     ``kind`` is one of:
 
-    * ``"started"`` — a worker process was launched for the job
-      (``attempts`` counts this launch).
+    * ``"started"`` — the job was handed to a worker process
+      (``attempts`` counts this hand-off).
     * ``"retry"`` — the attempt crashed / timed out / raised and the job
       was re-enqueued; ``error`` holds the failure text.
     * ``"ok"`` — terminal success; ``payload`` is the serialised result.
     * ``"failed"`` / ``"timeout"`` — terminal failure after all retries;
       ``error`` holds the last failure text.
 
-    ``wall_time`` on terminal events spans from the job's *first* launch.
+    ``wall_time`` on terminal events spans from the job's *first* hand-off.
     """
 
     kind: str
@@ -324,12 +357,26 @@ class JobEvent:
 class JobExecutor:
     """Incremental worker-pool executor: submit jobs, step for events.
 
-    The executor owns the worker processes, per-job timeout enforcement,
-    and bounded retry; callers own everything else (cache probes, result
-    handling, manifests beyond retry events). :class:`Runner` drives it
-    to completion in one loop; the ``repro serve`` scheduler feeds it one
-    DAG-ready job at a time and interleaves its own bookkeeping between
-    :meth:`step` calls.
+    The executor owns up to ``slots`` long-lived worker processes,
+    per-job timeout enforcement, and bounded retry; callers own
+    everything else (cache probes, result handling, manifests beyond
+    retry events). :class:`Runner` drives it to completion in one loop;
+    the ``repro serve`` scheduler feeds it one DAG-ready job at a time
+    and interleaves its own bookkeeping between :meth:`step` calls.
+
+    Worker model:
+
+    * Workers are forked on first need and then receive job after job
+      over a duplex pipe, keeping their program cache warm. A job that
+      raises leaves its worker alive; a worker that crashes is replaced,
+      and one whose job exceeds ``timeout`` is terminated and replaced.
+    * Every forked child closes its inherited copies of the parent's pipe
+      ends, so when the parent dies (even by SIGKILL) each idle worker
+      reads EOF and exits instead of outliving it — holding, say, a
+      killed daemon's listening socket.
+    * Start method stays ``fork``, paid once per worker instead of once
+      per job: a ``spawn``/``forkserver`` worker re-imports ``repro``,
+      which costs more than a whole cold service start.
 
     Scheduling structure:
 
@@ -337,10 +384,10 @@ class JobExecutor:
       retries both join at the **tail** (documented behaviour: a retried
       job waits behind everything already queued, so one flaky job cannot
       starve the rest of a campaign), and launches pop from the head.
-    * :meth:`step` blocks in ``multiprocessing.connection.wait`` on all
-      live worker pipes (bounded by the nearest timeout deadline) instead
-      of busy-polling each pipe — an idle pool costs no CPU, which is
-      what lets a long-lived daemon host sleep between jobs.
+    * :meth:`step` blocks in ``multiprocessing.connection.wait`` on the
+      pipes of busy workers (bounded by the nearest timeout deadline)
+      instead of busy-polling each pipe — an idle pool costs no CPU,
+      which is what lets a long-lived daemon host sleep between jobs.
     """
 
     def __init__(self, slots: Optional[int] = None,
@@ -352,9 +399,13 @@ class JobExecutor:
         self.manifest = manifest
         self._ctx = _mp_context()
         self._pending: Deque[_Task] = deque()
-        self._running: List[Tuple[_Task, object, object]] = []
+        self._workers: List[_Worker] = []
 
     # -- introspection ----------------------------------------------------
+
+    def _busy(self) -> List[_Worker]:
+        return [worker for worker in self._workers
+                if worker.task is not None]
 
     @property
     def pending_count(self) -> int:
@@ -362,16 +413,16 @@ class JobExecutor:
 
     @property
     def active_count(self) -> int:
-        return len(self._running)
+        return len(self._busy())
 
     @property
     def free_slots(self) -> int:
         """Slots not already claimed by running or queued work."""
-        return max(0, self.slots - len(self._running) - len(self._pending))
+        return max(0, self.slots - self.active_count - len(self._pending))
 
     @property
     def idle(self) -> bool:
-        return not self._pending and not self._running
+        return not self._pending and not self._busy()
 
     # -- submission -------------------------------------------------------
 
@@ -382,88 +433,114 @@ class JobExecutor:
     # -- stepping ---------------------------------------------------------
 
     def step(self, wait: float = _POLL_INTERVAL) -> List[JobEvent]:
-        """Launch queued work, wait up to ``wait`` seconds for worker
-        activity, and return the resulting :class:`JobEvent` list.
+        """Hand queued work to idle workers, else wait up to ``wait``
+        seconds for worker activity; return the resulting
+        :class:`JobEvent` list.
 
-        Returns immediately (empty list) when the executor is idle.
+        A step that hands out work returns its ``started`` events at
+        once, before any wait, so callers stamp a job's start when it
+        really starts. Returns immediately (empty list) when the
+        executor is idle.
         """
         events: List[JobEvent] = []
-        while self._pending and len(self._running) < self.slots:
+        while self._pending and self.active_count < self.slots:
             task = self._pending.popleft()
-            self._launch(task)
-            events.append(JobEvent("started", task.job, task.attempts))
-        if not self._running:
+            if self._launch(task):
+                events.append(JobEvent("started", task.job, task.attempts))
+            else:
+                self._fail_or_retry(
+                    task, "failed", "worker died before taking the job",
+                    events)
+        busy = self._busy()
+        if events or not busy:
             return events
 
         timeout = wait
         if self.timeout is not None:
-            nearest = min(task.started + self.timeout
-                          for task, _proc, _conn in self._running)
+            nearest = min(worker.task.started + self.timeout
+                          for worker in busy)
             timeout = max(0.0, min(wait, nearest - time.monotonic()))
         ready = set(_mp_connection.wait(
-            [conn for _task, _proc, conn in self._running], timeout))
+            [worker.conn for worker in busy], timeout))
 
         now = time.monotonic()
-        for entry in list(self._running):
-            task, proc, conn = entry
-            if conn in ready:
-                self._running.remove(entry)
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # pipe closed without a payload: the worker died
-                    # before (or while) sending
-                    message = None
-                proc.join()
-                conn.close()
-                if message is None:
-                    self._fail_or_retry(
-                        task, "failed",
-                        f"worker crashed (exitcode {proc.exitcode})",
-                        events)
+        for worker in busy:
+            task = worker.task
+            ready_or_dead = (worker.conn in ready
+                             or not worker.proc.is_alive())
+            # read a pending result before declaring the worker dead: it
+            # may have sent it and exited between wait() and is_alive()
+            message = self._receive(worker) if ready_or_dead else None
+            if message is not None:
+                worker.task = None
+                kind, payload = message
+                if kind == "ok":
+                    events.append(JobEvent(
+                        "ok", task.job, task.attempts, payload=payload,
+                        wall_time=now - task.first_started))
                 else:
-                    kind, payload = message
-                    if kind == "ok":
-                        events.append(JobEvent(
-                            "ok", task.job, task.attempts, payload=payload,
-                            wall_time=now - task.first_started))
-                    else:
-                        self._fail_or_retry(task, "failed", payload, events)
+                    self._fail_or_retry(task, "failed", payload, events)
+            elif ready_or_dead:
+                self._retire(worker)
+                self._fail_or_retry(
+                    task, "failed",
+                    f"worker crashed (exitcode {worker.proc.exitcode})",
+                    events)
             elif (self.timeout is not None
                   and now - task.started > self.timeout):
-                self._running.remove(entry)
-                proc.terminate()
-                proc.join()
-                conn.close()
+                self._retire(worker)
                 self._fail_or_retry(
                     task, "timeout",
                     f"timed out after {self.timeout:g}s", events)
-            elif not proc.is_alive():
-                # belt and braces: a dead worker's pipe should have been
-                # reported ready (EOF), but never wedge on one that isn't
-                self._running.remove(entry)
-                proc.join()
-                conn.close()
-                self._fail_or_retry(
-                    task, "failed",
-                    f"worker crashed (exitcode {proc.exitcode})", events)
         return events
 
-    def _launch(self, task: _Task) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        job = task.job
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, job.workload, job.config,
-                  job.warmup, job.measure, job.seed, job.sampling),
-            daemon=True)
-        proc.start()
-        child_conn.close()
+    @staticmethod
+    def _receive(worker: _Worker):
+        """The worker's pending message, or ``None`` at EOF / no data."""
+        try:
+            return worker.conn.recv() if worker.conn.poll(0) else None
+        except (EOFError, OSError):
+            return None
+
+    def _launch(self, task: _Task) -> bool:
+        """Hand ``task`` to an idle worker, starting one if none is idle.
+        Returns False when the worker died before it took the job."""
+        worker = next((w for w in self._workers if w.task is None), None)
+        if worker is not None and not worker.proc.is_alive():
+            self._retire(worker)
+            worker = None
+        if worker is None:
+            worker = self._start_worker()
         task.started = time.monotonic()
         if not task.first_started:
             task.first_started = task.started
         task.attempts += 1
-        self._running.append((task, proc, parent_conn))
+        try:
+            worker.conn.send(task.job)
+        except OSError:
+            self._retire(worker)
+            return False
+        worker.task = task
+        return True
+
+    def _start_worker(self) -> _Worker:
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        # a forked child (of this pool or any other) closes its copy of
+        # this end, so the worker reads EOF once the parent is gone
+        multiprocessing.util.register_after_fork(parent_conn,
+                                                 type(parent_conn).close)
+        proc = self._ctx.Process(target=_worker_main, args=(child_conn,),
+                                 daemon=True)
+        proc.start()
+        child_conn.close()
+        worker = _Worker(proc, parent_conn)
+        self._workers.append(worker)
+        return worker
+
+    def _retire(self, worker: _Worker) -> None:
+        """Stop ``worker`` (if still running) and drop it from the pool."""
+        self._workers.remove(worker)
+        worker.stop()
 
     def _fail_or_retry(self, task: _Task, status: str, error: str,
                        events: List[JobEvent]) -> None:
@@ -486,12 +563,10 @@ class JobExecutor:
     # -- teardown ---------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Terminate running workers and drop queued work."""
-        for _task, proc, conn in self._running:
-            proc.terminate()
-            proc.join()
-            conn.close()
-        self._running.clear()
+        """Stop every worker and drop queued work."""
+        for worker in self._workers:
+            worker.stop()
+        self._workers.clear()
         self._pending.clear()
 
     def __enter__(self) -> "JobExecutor":

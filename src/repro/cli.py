@@ -517,7 +517,7 @@ def _cmd_sweep(args) -> int:
 def _config_label(config: CoreConfig) -> str:
     if not config.apf.enabled:
         return "base"
-    return ("dpip" if config.apf.mode is AlternatePathMode.DPIP
+    return ("dpip" if config.apf.mode == AlternatePathMode.DPIP
             else "apf")
 
 

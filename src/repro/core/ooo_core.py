@@ -156,7 +156,7 @@ class OoOCore:
 
         # Only the BANKED scheme ever reads the per-cycle bank sets, so
         # every other configuration skips that bookkeeping.
-        self.fetch.publish_banks = self._scheme is FetchScheme.BANKED
+        self.fetch.publish_banks = self._scheme == FetchScheme.BANKED
         self._done_scratch = [0] * config.frontend.width
         #: env-gated debug mode: re-derive every skipped window's no-op
         #: conditions from first principles (next_wakeup contract checks)
@@ -1456,7 +1456,7 @@ class OoOCore:
             self._main_fetch()
             return
         scheme = self._scheme
-        if scheme is FetchScheme.TIME_SHARED:
+        if scheme == FetchScheme.TIME_SHARED:
             apf_turn = (self.now % self._ts_period) >= self._ts_main
             # only give the cycle to the alternate path if it can actually
             # fetch: an active job, or a startable candidate on a free pipe
@@ -1479,7 +1479,7 @@ class OoOCore:
             return
         # banked / dual-port: both paths run every cycle
         fetched = self._main_fetch()
-        if scheme is FetchScheme.DUAL_PORT or not fetched:
+        if scheme == FetchScheme.DUAL_PORT or not fetched:
             blocked_tage: set = set()
             blocked_icache: set = set()
         else:

@@ -39,7 +39,10 @@ class Emulator:
     def __init__(self, program: Program) -> None:
         self.program = program
         self.regs: List[int] = [0] * NUM_ARCH_REGS
-        self.memory: Dict[int, int] = dict(program.initial_data)
+        #: words stored during this run; reads fall through to the
+        #: program's read-only initial image, which is never copied
+        self.memory: Dict[int, int] = {}
+        self._initial = program.initial_data
         self.call_stack: List[int] = []
         self.pc = program.entry_pc
         self.instructions_executed = 0
@@ -51,8 +54,10 @@ class Emulator:
         aligned = addr & ~(_WORD - 1)
         value = self.memory.get(aligned)
         if value is None:
-            value = _default_memory_value(aligned)
-            self.memory[aligned] = value
+            value = self._initial.get(aligned)
+            if value is None:
+                value = _default_memory_value(aligned)
+                self.memory[aligned] = value
         return value
 
     def write_word(self, addr: int, value: int) -> None:

@@ -20,7 +20,7 @@ from repro.workloads.synthetic import WorkloadProfile, build_synthetic_program
 from repro.workloads.trace import DynamicTrace
 
 __all__ = ["SPEC_NAMES", "GAP_NAMES", "ALL_NAMES", "build_workload",
-           "workload_trace", "clear_trace_cache"]
+           "workload_trace", "clear_trace_cache", "trim_trace_cache"]
 
 SPEC_NAMES: List[str] = [
     "perlbench", "gcc", "mcf", "omnetpp", "xalancbmk",
@@ -146,12 +146,21 @@ def build_workload(name: str) -> Program:
 def workload_trace(name: str, num_instructions: int) -> DynamicTrace:
     """Emulate ``name`` for ``num_instructions`` and cache the trace."""
     key = (name, num_instructions)
-    if key in _trace_cache:
-        return _trace_cache[key]
+    trace = _trace_cache.pop(key, None)
+    if trace is not None:
+        _trace_cache[key] = trace       # most recently used goes last
+        return trace
     program = build_workload(name)
     trace = Emulator(program).run(num_instructions)
     _trace_cache[key] = trace
     return trace
+
+
+def trim_trace_cache(keep: int) -> None:
+    """Drop all but the ``keep`` most recently used traces (long-lived
+    worker processes keep one, so their memory stays bounded)."""
+    while len(_trace_cache) > keep:
+        del _trace_cache[next(iter(_trace_cache))]
 
 
 def clear_trace_cache() -> None:

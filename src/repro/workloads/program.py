@@ -12,23 +12,82 @@ listings instead of raw uop lists.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from array import array
+from bisect import bisect_right
+from collections.abc import Mapping
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.isa.opcodes import NUM_ARCH_REGS, UOP_BYTES, Op
 from repro.isa.uop import StaticUop
 
-__all__ = ["Program", "ProgramBuilder", "CODE_BASE", "DATA_BASE"]
+__all__ = ["DataImage", "Program", "ProgramBuilder", "CODE_BASE",
+           "DATA_BASE"]
 
 CODE_BASE = 0x0040_0000
 DATA_BASE = 0x1000_0000
 WORD_BYTES = 8
 
 
+class DataImage(Mapping):
+    """Read-only initial data image: byte address -> 64-bit word.
+
+    The words of every array sit back to back in one ``array('Q')`` from
+    ``base``, 8 bytes each instead of a boxed int per dict entry (mcf's
+    image is ~196 k words). Arrays allocated without values are *holes*:
+    their addresses are not keys, so an emulator reads them as
+    uninitialised memory, exactly as if they had never been stored.
+    """
+
+    def __init__(self, base: int, words: array,
+                 holes: Sequence[tuple] = ()) -> None:
+        self._base = base
+        self._words = words
+        # sorted, disjoint [start, end) word-index ranges with no value
+        self._holes = list(holes)
+        self._hole_starts = [start for start, _end in self._holes]
+        self._len = len(words) - sum(end - start
+                                     for start, end in self._holes)
+
+    def _index(self, addr: int) -> int:
+        """Word index of ``addr``, or -1 when it holds no initial value."""
+        offset = addr - self._base
+        if offset < 0 or offset & (WORD_BYTES - 1):
+            return -1
+        index = offset >> 3
+        if index >= len(self._words):
+            return -1
+        if self._holes:
+            slot = bisect_right(self._hole_starts, index) - 1
+            if slot >= 0 and index < self._holes[slot][1]:
+                return -1
+        return index
+
+    def get(self, addr: int, default=None):
+        index = self._index(addr)
+        return default if index < 0 else self._words[index]
+
+    def __getitem__(self, addr: int) -> int:
+        index = self._index(addr)
+        if index < 0:
+            raise KeyError(addr)
+        return self._words[index]
+
+    def __iter__(self) -> Iterator[int]:
+        base, start = self._base, 0
+        for hole_start, hole_end in self._holes + [(len(self._words), 0)]:
+            for index in range(start, hole_start):
+                yield base + index * WORD_BYTES
+            start = hole_end
+
+    def __len__(self) -> int:
+        return self._len
+
+
 class Program:
     """Immutable static image: code, initial data, and an entry point."""
 
     def __init__(self, uops: List[StaticUop], entry_pc: int,
-                 data: Dict[int, int], name: str = "program",
+                 data: Mapping, name: str = "program",
                  data_base: int = DATA_BASE,
                  data_end: int = DATA_BASE,
                  arrays: Optional[Dict[str, int]] = None) -> None:
@@ -110,8 +169,8 @@ class ProgramBuilder:
         self._uops: List[StaticUop] = []
         self._labels: Dict[str, int] = {}
         self._fixups: List[tuple] = []       # (uop_index, label)
-        self._data: Dict[int, int] = {}      # byte address -> word value
-        self._data_cursor = data_base
+        self._words = array("Q")             # data image from data_base
+        self._holes: List[tuple] = []        # uninitialised word ranges
         self._arrays: Dict[str, int] = {}
         self._label_counter = 0
 
@@ -194,16 +253,25 @@ class ProgramBuilder:
         """Reserve ``num_words`` 8-byte words; return the base byte address."""
         if name in self._arrays:
             raise ValueError(f"array {name!r} allocated twice")
-        base = self._data_cursor
-        self._data_cursor += num_words * WORD_BYTES
+        words = self._words
+        start = len(words)
+        base = self.data_base + start * WORD_BYTES
         if values is not None:
             if len(values) != num_words:
                 raise ValueError("values length mismatch")
-            for i, value in enumerate(values):
-                self._data[base + i * WORD_BYTES] = value
         elif init is not None:
-            for i in range(num_words):
-                self._data[base + i * WORD_BYTES] = init(i)
+            values = [init(i) for i in range(num_words)]
+        if values is None:
+            words.frombytes(bytes(num_words * WORD_BYTES))
+            if num_words:
+                self._holes.append((start, start + num_words))
+        else:
+            try:
+                words.extend(values)
+            except (OverflowError, TypeError) as exc:
+                del words[start:]
+                raise ValueError(f"array {name!r}: every word must be an "
+                                 f"int in [0, 2**64): {exc}") from None
         self._arrays[name] = base
         return base
 
@@ -219,6 +287,10 @@ class ProgramBuilder:
                 raise ValueError(f"undefined label {label!r}")
             self._uops[index].target = self._labels[label]
         entry = self._labels.get(entry_label, self.code_base)
-        return Program(self._uops, entry, dict(self._data), name=self.name,
-                       data_base=self.data_base, data_end=self._data_cursor,
+        data = DataImage(self.data_base, array("Q", self._words),
+                         self._holes)
+        return Program(self._uops, entry, data, name=self.name,
+                       data_base=self.data_base,
+                       data_end=self.data_base
+                       + len(self._words) * WORD_BYTES,
                        arrays=self._arrays)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.isa.opcodes import Op
-from repro.workloads.emulator import EmulationError, Emulator
+from repro.workloads.emulator import (EmulationError, Emulator,
+                                      _default_memory_value)
 from repro.workloads.program import ProgramBuilder
 
 _MASK64 = (1 << 64) - 1
@@ -114,6 +115,28 @@ class TestMemory:
         emu, _ = run_program(build)
         assert emu.regs[2] == 111
         assert emu.regs[3] == 222
+
+    def test_stores_leave_the_program_image_untouched(self):
+        b = ProgramBuilder()
+        base = b.alloc_array("arr", 1, values=[7])
+        hole = b.alloc_array("buf", 1)
+        b.movi(1, base)
+        b.movi(2, 99)
+        b.store(2, 1)
+        b.load(3, 1)
+        b.movi(4, hole)
+        b.load(5, 4)
+        b.halt()
+        program = b.finalize()
+        first, second = Emulator(program), Emulator(program)
+        first.run(100)
+        assert first.regs[3] == 99
+        assert program.initial_data[base] == 7
+        assert hole not in program.initial_data
+        second.run(2)
+        assert second.read_word(base) == 7
+        # an allocated word without values reads like any unwritten one
+        assert first.regs[5] == _default_memory_value(hole)
 
     def test_uninitialised_memory_is_deterministic(self):
         def build(b):

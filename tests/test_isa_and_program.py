@@ -98,6 +98,35 @@ class TestProgramBuilder:
         assert [program.initial_data[base + 8 * i] for i in range(3)] \
             == [0, 1, 4]
 
+    def test_data_image_maps_initialised_words_only(self):
+        b = ProgramBuilder()
+        first = b.alloc_array("a", 2, values=[5, 6])
+        hole = b.alloc_array("h", 3)
+        last = b.alloc_array("c", 2, init=lambda i: 1 << (63 - i))
+        b.halt()
+        data = b.finalize().initial_data
+        expected = {first: 5, first + 8: 6,
+                    last: 1 << 63, last + 8: 1 << 62}
+        assert data == expected and dict(data) == expected
+        assert list(data) == sorted(expected) and len(data) == 4
+        assert hole not in data and hole + 16 not in data
+        assert first + 1 not in data and data.get(first + 4) is None
+        assert data.get(hole, -1) == -1
+        with pytest.raises(KeyError):
+            data[hole + 8]
+        with pytest.raises(TypeError):
+            data[first] = 1
+
+    def test_alloc_array_rejects_non_word_values(self):
+        b = ProgramBuilder()
+        with pytest.raises(ValueError, match="'neg'"):
+            b.alloc_array("neg", 2, values=[1, -1])
+        with pytest.raises(ValueError, match="'big'"):
+            b.alloc_array("big", 1, init=lambda _i: 1 << 64)
+        base = b.alloc_array("ok", 1, values=[3])
+        assert base == b.data_base
+        assert dict(b.finalize().initial_data) == {base: 3}
+
     def test_alloc_duplicate_name_raises(self):
         b = ProgramBuilder()
         b.alloc_array("a", 1)

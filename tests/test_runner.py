@@ -1,16 +1,29 @@
 """Tests for the process-parallel experiment runner and its crash-safe
 result store: parallel-vs-serial equivalence, cache hit accounting,
-corrupt-entry recovery, per-job timeout, bounded retry, and the manifest.
+corrupt-entry recovery, per-job timeout, bounded retry, the manifest,
+and the warm worker pool (worker reuse and replacement, parent-death
+exit, warm-vs-fresh payload identity).
 
 Simulation windows are tiny so each job is ~50 ms; the determinism
 guarantees under test are window-independent.
 """
 
 import json
+import os
+import pickle
+import random
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis import harness
+from repro.analysis import runner as runner_module
 from repro.analysis.runner import (
     Job,
     JobExecutor,
@@ -22,7 +35,10 @@ from repro.analysis.runner import (
     resolve_jobs,
     using_runner,
 )
-from repro.common.config import small_core_config
+from repro.common.config import (AlternatePathMode, FetchScheme,
+                                 small_core_config)
+from repro.core.simulator import Simulator
+from repro.workloads.profiles import ALL_NAMES
 
 WARMUP, MEASURE = 400, 400
 WORKLOADS = ["xz", "leela"]
@@ -240,6 +256,201 @@ class TestExecutor:
         assert events[-1].attempts == 1
         assert events[-1].payload["workload"] == "xz"
         assert events[-1].wall_time > 0
+
+
+def config_variants():
+    """Baseline plus every fetch scheme and DPIP."""
+    base = small_core_config()
+    return {
+        "base": base,
+        "apf": base.with_apf(),
+        "timeshare": base.with_apf(fetch_scheme=FetchScheme.TIME_SHARED),
+        "dualport": base.with_apf(fetch_scheme=FetchScheme.DUAL_PORT),
+        "dpip": base.with_apf(mode=AlternatePathMode.DPIP, num_buffers=0),
+    }
+
+
+def payload_bytes_of(result):
+    return harness.payload_bytes(harness.serialize_result(result))
+
+
+def run_to_idle(executor, timeout=120.0):
+    events = []
+    deadline = time.monotonic() + timeout
+    while not executor.idle:
+        assert time.monotonic() < deadline, "executor did not drain"
+        events.extend(executor.step())
+    return events
+
+
+def pids(executor):
+    return [worker.proc.pid for worker in executor._workers]
+
+
+def process_gone(pid):
+    """True once ``pid`` has exited (a zombie awaiting its reaper counts)."""
+    try:
+        status = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return status.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+class TestConfigPickle:
+    @pytest.mark.parametrize("name", sorted(config_variants()))
+    def test_payload_survives_config_pickle_round_trip(self, name):
+        """Configs travel to pool workers pickled; string constants come
+        back equal but not identical, and must select the same model."""
+        config = config_variants()[name]
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config
+        assert harness.config_signature(copy) \
+            == harness.config_signature(config)
+        assert payload_bytes_of(Simulator(copy, seed=7).run(
+            "leela", WARMUP, MEASURE)) == payload_bytes_of(
+            Simulator(config, seed=7).run("leela", WARMUP, MEASURE))
+
+
+class TestWorkerPool:
+    def test_consecutive_jobs_share_one_worker(self, tmp_path, monkeypatch):
+        cache_to(monkeypatch, tmp_path)
+        cfg = small_core_config()
+        with JobExecutor(slots=1) as executor:
+            seen = []
+            for workload in ("xz", "leela", "xz"):
+                executor.submit(make_job(workload, cfg, WARMUP, MEASURE))
+                kinds = [e.kind for e in run_to_idle(executor)]
+                assert kinds == ["started", "ok"]
+                seen.append(pids(executor))
+        assert len(seen[0]) == 1
+        assert seen[0] == seen[1] == seen[2]
+
+    def test_timed_out_worker_is_replaced(self, tmp_path, monkeypatch):
+        cache_to(monkeypatch, tmp_path)
+        cfg = small_core_config()
+        with JobExecutor(slots=1, timeout=0.3, retries=0) as executor:
+            executor.submit(make_job("xz", cfg, WARMUP, MEASURE))
+            run_to_idle(executor)
+            [first] = pids(executor)
+            executor.submit(Job("leela", cfg, 300_000, 300_000))
+            assert [e.kind for e in run_to_idle(executor)] \
+                == ["started", "timeout"]
+            assert pids(executor) == []
+            assert process_gone(first)
+            executor.submit(make_job("xz", cfg, WARMUP, MEASURE))
+            events = run_to_idle(executor)
+            assert [e.kind for e in events] == ["started", "ok"]
+            [second] = pids(executor)
+        assert second != first
+
+    def test_raising_job_keeps_its_worker(self, tmp_path, monkeypatch):
+        cache_to(monkeypatch, tmp_path)
+        cfg = small_core_config()
+        with JobExecutor(slots=1, retries=0) as executor:
+            executor.submit(Job("no-such-workload", cfg, WARMUP, MEASURE))
+            [started, failed] = run_to_idle(executor)
+            assert failed.kind == "failed"
+            assert "no-such-workload" in failed.error
+            before = pids(executor)
+            executor.submit(make_job("xz", cfg, WARMUP, MEASURE))
+            assert [e.kind for e in run_to_idle(executor)] \
+                == ["started", "ok"]
+            assert pids(executor) == before and len(before) == 1
+
+    def test_started_returned_before_waiting(self, tmp_path, monkeypatch):
+        """The step that hands a job out returns at once, so a caller's
+        start stamp is not delayed until the result arrives."""
+        cache_to(monkeypatch, tmp_path)
+        with JobExecutor(slots=1) as executor:
+            executor.submit(make_job("xz", small_core_config(),
+                                     WARMUP, MEASURE))
+            assert [e.kind for e in executor.step(wait=60.0)] \
+                == ["started"]
+            assert executor.active_count == 1
+            assert [e.kind for e in run_to_idle(executor)] == ["ok"]
+
+    def test_result_sent_before_exit_is_not_a_crash(self, tmp_path,
+                                                    monkeypatch):
+        """A worker that sends its result and dies before the parent
+        looks is reported ok, not crashed and re-run."""
+        cache_to(monkeypatch, tmp_path)
+        with JobExecutor(slots=1, retries=0) as executor:
+            executor.submit(make_job("xz", small_core_config(),
+                                     WARMUP, MEASURE))
+            executor.step()
+            [worker] = executor._workers
+            assert worker.conn.poll(60.0)
+            worker.proc.kill()
+            worker.proc.join(10.0)
+            assert not worker.proc.is_alive()
+            # the wait returned just before the result arrived
+            with monkeypatch.context() as patch:
+                patch.setattr(runner_module, "_mp_connection",
+                              SimpleNamespace(wait=lambda conns, timeout: []))
+                [event] = executor.step()
+            assert event.kind == "ok" and event.attempts == 1
+            assert executor._workers == [worker]
+            executor.submit(make_job("leela", small_core_config(),
+                                     WARMUP, MEASURE))
+            assert [e.kind for e in run_to_idle(executor)] \
+                == ["started", "ok"]
+            assert worker not in executor._workers
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_idle_workers_exit_when_parent_is_killed(self, tmp_path):
+        script = textwrap.dedent(f"""
+            import os, sys, time
+            from repro.analysis.runner import JobExecutor, make_job
+            from repro.common.config import small_core_config
+            executor = JobExecutor(slots=2)
+            for workload in ("xz", "leela"):
+                executor.submit(make_job(workload, small_core_config(),
+                                         {WARMUP}, {MEASURE}))
+            while not executor.idle:
+                executor.step()
+            print(*[w.proc.pid for w in executor._workers], flush=True)
+            time.sleep(600)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(harness.__file__).parents[2])] + sys.path),
+            REPRO_CACHE_DIR=str(tmp_path))
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2
+            assert not any(process_gone(pid) for pid in workers)
+        finally:
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(10.0)
+            parent.stdout.close()
+        deadline = time.monotonic() + 10.0
+        while not all(process_gone(pid) for pid in workers):
+            assert time.monotonic() < deadline, "orphaned worker lives on"
+            time.sleep(0.05)
+
+    def test_warm_worker_matches_fresh_simulation(self, tmp_path,
+                                                  monkeypatch):
+        """One worker runs every workload under every scheme in a random
+        order; warm program and trace caches change no payload byte."""
+        cache_to(monkeypatch, tmp_path)
+        jobs = [make_job(workload, config, WARMUP, MEASURE, seed=5)
+                for workload in ALL_NAMES
+                for config in config_variants().values()]
+        random.Random(13).shuffle(jobs)
+        with JobExecutor(slots=1, retries=0) as executor:
+            for job in jobs:
+                executor.submit(job)
+            events = run_to_idle(executor, timeout=600.0)
+            assert len(pids(executor)) == 1
+        done = {e.job: e.payload for e in events if e.kind == "ok"}
+        assert len(done) == len(jobs)
+        for job in jobs:
+            fresh = Simulator(job.config, seed=job.seed).run(
+                job.workload, job.warmup, job.measure)
+            assert harness.payload_bytes(done[job]) \
+                == payload_bytes_of(fresh), job.key
 
 
 class TestManifest:
