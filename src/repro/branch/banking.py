@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.common.config import TageConfig
 from repro.branch.tage import Prediction, TageSCL
 
@@ -90,28 +88,12 @@ class BankedTage:
         """Precompute :meth:`bank_of` over a contiguous code image.
 
         The Table I hash is a pure function of the PC, and the predict
-        loop asks for the same code-image PCs over and over; an
-        array-backed lookup replaces the XOR cascade with one index.
-        The whole image is hashed as one vectorized XOR cascade; the
-        map is kept as a plain list because single-element list reads
-        beat numpy scalar indexing on the lookup side."""
+        loop asks for the same code-image PCs over and over; a list
+        lookup replaces the XOR cascade with one index."""
         self._map_base = code_base
-        word = (code_base + (np.arange(num_uops, dtype=np.int64) << 2)) >> 2
         banks = self.num_banks
-        if banks == 1:
-            bank = np.zeros(num_uops, dtype=np.int64)
-        elif banks == 2:
-            bank = (word ^ (word >> 4)) & 1
-        elif banks == 4:
-            bit0 = (word ^ (word >> 1) ^ (word >> 5) ^ (word >> 6)) & 1
-            bit1 = ((word >> 2) ^ (word >> 3) ^ (word >> 4) ^ (word >> 7)) & 1
-            bank = bit0 | (bit1 << 1)
-        else:
-            bit0 = (word ^ (word >> 1) ^ (word >> 2)) & 1
-            bit1 = ((word >> 3) ^ (word >> 5) ^ (word >> 6)) & 1
-            bit2 = ((word >> 4) ^ (word >> 7)) & 1
-            bank = bit0 | (bit1 << 1) | (bit2 << 2)
-        self._bank_map = bank.tolist()
+        self._bank_map = [tage_bank_bits(code_base + (i << 2), banks)
+                          for i in range(num_uops)]
 
     def bank_of(self, pc: int) -> int:
         table = self._bank_map

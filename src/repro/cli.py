@@ -87,6 +87,21 @@ from repro.workloads.profiles import ALL_NAMES, GAP_NAMES, SPEC_NAMES
 __all__ = ["main", "build_parser", "config_from_args"]
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=`` for an integer option bounded below."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -127,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enable Alternate Path Fetch")
         p.add_argument("--dpip", action="store_true",
                        help="use the DPIP variant instead of APF")
-        p.add_argument("--depth", type=int, default=13,
+        p.add_argument("--depth", type=_int_at_least(1), default=13,
                        help="alternate pipeline depth (default 13)")
-        p.add_argument("--buffers", type=int, default=4,
+        p.add_argument("--buffers", type=_int_at_least(0), default=4,
                        help="alternate path buffers (default 4)")
         p.add_argument("--scheme",
                        choices=("banked", "timeshare", "dualport"),
@@ -366,7 +381,7 @@ def config_from_args(args) -> CoreConfig:
     overrides = dict(
         pipeline_depth=args.depth,
         num_buffers=args.buffers,
-        buffer_capacity_uops=8 * max(1, args.depth),
+        buffer_capacity_uops=8 * args.depth,
         fetch_scheme=scheme,
         tage_banks=args.tage_banks,
         use_tage_confidence=not args.no_confidence,

@@ -4,7 +4,7 @@ One :class:`Service` composes the scheduler (worker processes + DAG
 state, on its own scheduling thread), the content-addressed result
 store, and the telemetry buffer behind a small hand-rolled HTTP/1.1
 server on asyncio streams — no third-party web framework, matching the
-repo's stdlib+numpy dependency floor.
+repo's standard-library-only dependency floor.
 
 Endpoints (all JSON except ``/metrics/prom``):
 

@@ -72,6 +72,13 @@ def _type_check(doc: dict, field: str, types, default=None, required=False):
     return value
 
 
+def _check_apf_int(field: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise RequestError(f"apf field {field!r} must be an int >= "
+                           f"{minimum}, got {value!r}")
+
+
 def config_from_spec(spec: Optional[dict]) -> CoreConfig:
     """Build a :class:`CoreConfig` from a JSON config spec (see module
     docstring); raises :class:`RequestError` on unknown fields."""
@@ -107,17 +114,24 @@ def config_from_spec(spec: Optional[dict]) -> CoreConfig:
                            f"{', '.join(sorted(apf))}")
     if mode not in ("apf", "dpip"):
         raise RequestError(f"apf mode must be 'apf' or 'dpip', got {mode!r}")
-    if scheme not in _SCHEMES:
-        raise RequestError(f"unknown fetch scheme {scheme!r}")
-    if tage_banks not in (1, 2, 4, 8):
-        raise RequestError(f"tage_banks must be 1/2/4/8, got {tage_banks!r}")
+    if not isinstance(scheme, str) or scheme not in _SCHEMES:
+        raise RequestError(f"apf field 'scheme' must be one of "
+                           f"{'/'.join(_SCHEMES)}, got {scheme!r}")
+    if isinstance(tage_banks, bool) or tage_banks not in (1, 2, 4, 8):
+        raise RequestError(f"apf field 'tage_banks' must be 1/2/4/8, "
+                           f"got {tage_banks!r}")
+    _check_apf_int("depth", depth, 1)
+    _check_apf_int("buffers", buffers, 0)
+    if not isinstance(confidence, bool):
+        raise RequestError(f"apf field 'confidence' must be a bool, "
+                           f"got {confidence!r}")
     overrides = dict(
         pipeline_depth=depth,
         num_buffers=buffers,
-        buffer_capacity_uops=8 * max(1, depth),
+        buffer_capacity_uops=8 * depth,
         fetch_scheme=_SCHEMES[scheme],
         tage_banks=tage_banks,
-        use_tage_confidence=bool(confidence),
+        use_tage_confidence=confidence,
     )
     if mode == "dpip":
         overrides.update(mode=AlternatePathMode.DPIP, num_buffers=0)

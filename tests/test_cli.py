@@ -87,10 +87,26 @@ class TestParser:
             assert parse(argv).emit_metrics == "m.jsonl"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--depth", "-3"], ["--depth", "0"], ["--buffers", "-1"],
+    ["--depth", "seven"], ["--buffers", "2.5"],
+])
+def test_apf_int_options_are_bounded(argv, capsys):
+    with pytest.raises(SystemExit):
+        parse(["run", "--apf", *argv])
+    assert f"argument {argv[0]}" in capsys.readouterr().err
+
+
 class TestConfigFromArgs:
     def test_baseline(self):
         cfg = config_from_args(parse(["run"]))
         assert not cfg.apf.enabled
+
+    def test_apf_bounds_are_inclusive(self):
+        cfg = config_from_args(parse(
+            ["run", "--apf", "--depth", "1", "--buffers", "0"]))
+        assert (cfg.apf.pipeline_depth, cfg.apf.num_buffers) == (1, 0)
+        assert cfg.apf.buffer_capacity_uops == 8
 
     def test_apf_flags(self):
         cfg = config_from_args(parse(

@@ -1,25 +1,30 @@
-"""Randomized scalar-vs-numpy TAGE-SC-L equivalence.
+"""Randomized TAGE-SC-L determinism and fold-path equivalence.
 
-``TageSCL`` dispatches to the numpy array-backed :class:`VectorTageSCL`
-by default and to the scalar reference :class:`ScalarTageSCL` when
-``REPRO_SCALAR_PREDICTORS=1``. The two backends must be bit-identical on
-*any* predict/update sequence: every Prediction triple, the full storage
-snapshot, ``storage_bits()``, and the allocation RNG state — with and
-without attached history folds, and across snapshot/restore round-trips
-in either storage format (scalar emits nested lists, vector emits raw
-bytes; ``restore`` accepts both).
+``TageSCL.predict``/``update`` take an optional ``folds`` argument: the
+history-maintained fold values of an attached ``SpeculativeHistory``. The
+timing core passes them; the functional fast-forward
+(``repro.sampling.fastforward``) does not, and the predictor recomputes
+(and memoises) the same folds itself. Both paths must be bit-identical on
+*any* predict/update sequence — every Prediction triple and the full
+storage snapshot, including the allocation RNG state — and a
+snapshot/restore round trip mid-sequence must change nothing.
+
+The prediction trail and final snapshot of every configuration are also
+pinned by sha256, so a behaviour change in either path fails here even
+when it changes both paths alike.
 
 The sequences here are randomized but seeded, so a failure is a
 reproducible counterexample, not a flake.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from repro.branch.history import SpeculativeHistory
-from repro.branch.tage import (ScalarTageSCL, TageSCL, VectorTageSCL,
-                               _decode_row, _decode_rows)
+from repro.branch.tage import TageSCL
 from repro.common.config import TageConfig
 
 CONFIGS = {
@@ -29,6 +34,23 @@ CONFIGS = {
     "tage_only": dict(enable_sc=False, enable_loop_predictor=False),
 }
 
+#: sha256 of (prediction trail, final snapshot) after
+#: ``drive(seed=1234, steps=1_500)``, identical with and without folds
+PINNED = {
+    "full": (
+        "06054f073491b014cbdaafc481a8ecf2045c191dc15e55006310513f496833d5",
+        "f92c513f2f9df0491c067562ffa40ba307a89c3064fe8b82eb8db81c19bfaa6c"),
+    "no_sc": (
+        "06054f073491b014cbdaafc481a8ecf2045c191dc15e55006310513f496833d5",
+        "fd79ea8a91fe30c1b9bc05c57922ce8c31d35b1333d5ec007cd822f9891fbd16"),
+    "no_loop": (
+        "7bfb543118fa25fc3c1b046cb2080ffc53b4bf58d99dadc6b62f8902b8444dd9",
+        "f2a0ca0ff928ade0343b80777fa32f70e90d75703808800b64539a5e130a82a3"),
+    "tage_only": (
+        "7bfb543118fa25fc3c1b046cb2080ffc53b4bf58d99dadc6b62f8902b8444dd9",
+        "c47cbe8ab538845752e591eb683d78ea72c58a52f6e5232ec21b129b4edd5c5d"),
+}
+
 
 def make_config(key) -> TageConfig:
     return TageConfig(num_tables=5, table_log_size=7, bimodal_log_size=9,
@@ -36,24 +58,13 @@ def make_config(key) -> TageConfig:
                       **CONFIGS[key])
 
 
-def make_pair(key):
-    cfg = make_config(key)
-    scalar = ScalarTageSCL(cfg, seed=99)
-    vector = VectorTageSCL(cfg, seed=99)
-    assert type(scalar) is ScalarTageSCL
-    assert type(vector) is VectorTageSCL
-    return scalar, vector
+def make_predictor(key) -> TageSCL:
+    return TageSCL(make_config(key), seed=99)
 
 
-def canonical(snap: dict, cfg: TageConfig) -> dict:
-    """Normalize a snapshot to nested lists, whatever backend wrote it."""
-    out = dict(snap)
-    out["tags"] = _decode_rows(snap["tags"], cfg.num_tables)
-    out["ctrs"] = _decode_rows(snap["ctrs"], cfg.num_tables)
-    out["useful"] = _decode_rows(snap["useful"], cfg.num_tables)
-    out["bimodal"] = _decode_row(snap["bimodal"])
-    out["sc_tables"] = _decode_rows(snap["sc_tables"], cfg.sc_num_tables)
-    return out
+def digest(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def make_history(predictor, use_folds: bool) -> SpeculativeHistory:
@@ -105,71 +116,31 @@ def drive(predictor, seed: int, steps: int, use_folds: bool,
 
 
 @pytest.mark.parametrize("config_key", sorted(CONFIGS))
-@pytest.mark.parametrize("use_folds", [False, True],
-                         ids=["no_folds", "folds"])
-class TestRandomizedEquivalence:
-    def test_trail_and_storage_identical(self, config_key, use_folds):
-        scalar, vector = make_pair(config_key)
-        strail = drive(scalar, seed=1234, steps=1_500, use_folds=use_folds)
-        vtrail = drive(vector, seed=1234, steps=1_500, use_folds=use_folds)
-        assert strail == vtrail
-        cfg = make_config(config_key)
-        assert canonical(scalar.snapshot(), cfg) \
-            == canonical(vector.snapshot(), cfg)
-
-    def test_roundtrips_do_not_disturb_state(self, config_key, use_folds):
-        """Snapshot/restore mid-sequence is a no-op for both backends."""
-        scalar, vector = make_pair(config_key)
-        strail = drive(scalar, seed=71, steps=900, use_folds=use_folds,
-                       roundtrip_every=113)
-        vtrail = drive(vector, seed=71, steps=900, use_folds=use_folds,
-                       roundtrip_every=113)
-        plain_scalar, plain_vector = make_pair(config_key)
-        assert strail == vtrail
-        assert strail == drive(plain_scalar, seed=71, steps=900,
-                               use_folds=use_folds)
-        assert vtrail == drive(plain_vector, seed=71, steps=900,
-                               use_folds=use_folds)
+def test_folds_match_recomputed_folds(config_key):
+    """The attached-folds path and the self-folding path agree."""
+    folded = make_predictor(config_key)
+    plain = make_predictor(config_key)
+    assert drive(folded, seed=1234, steps=1_500, use_folds=True) \
+        == drive(plain, seed=1234, steps=1_500, use_folds=False)
+    assert folded.snapshot() == plain.snapshot()
 
 
 @pytest.mark.parametrize("config_key", sorted(CONFIGS))
-class TestCrossFormat:
-    def test_storage_bits_unchanged(self, config_key):
-        scalar, vector = make_pair(config_key)
-        assert scalar.storage_bits() == vector.storage_bits()
+@pytest.mark.parametrize("use_folds", [False, True],
+                         ids=["no_folds", "folds"])
+class TestPredictorBehaviour:
+    def test_trail_and_snapshot_pinned(self, config_key, use_folds):
+        predictor = make_predictor(config_key)
+        trail = drive(predictor, seed=1234, steps=1_500,
+                      use_folds=use_folds)
+        assert (digest(trail), digest(predictor.snapshot())) \
+            == PINNED[config_key]
 
-    def test_cross_restore_both_directions(self, config_key):
-        """A scalar snapshot restores into the vector backend and vice
-        versa, and the predictors continue bit-identically from there."""
-        scalar, vector = make_pair(config_key)
-        drive(scalar, seed=5, steps=600, use_folds=False)
-        drive(vector, seed=5, steps=600, use_folds=False)
-        crossed_scalar, crossed_vector = make_pair(config_key)
-        crossed_scalar.restore(vector.snapshot())   # bytes -> lists
-        crossed_vector.restore(scalar.snapshot())   # lists -> arrays
-        cfg = make_config(config_key)
-        assert canonical(crossed_scalar.snapshot(), cfg) \
-            == canonical(crossed_vector.snapshot(), cfg)
-        tail_s = drive(crossed_scalar, seed=6, steps=400, use_folds=True)
-        tail_v = drive(crossed_vector, seed=6, steps=400, use_folds=True)
-        assert tail_s == tail_v
-
-
-class TestDispatch:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALAR_PREDICTORS", raising=False)
-        assert type(TageSCL(make_config("full"))) is VectorTageSCL
-
-    def test_env_switch_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_PREDICTORS", "1")
-        # the TageSCL class body IS the scalar implementation; the switch
-        # just suppresses the redirect to the vector subclass
-        assert not isinstance(TageSCL(make_config("full")), VectorTageSCL)
-        monkeypatch.setenv("REPRO_SCALAR_PREDICTORS", "0")
-        assert type(TageSCL(make_config("full"))) is VectorTageSCL
-
-    def test_direct_classes_ignore_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_PREDICTORS", "1")
-        assert type(VectorTageSCL(make_config("full"))) is VectorTageSCL
-        monkeypatch.delenv("REPRO_SCALAR_PREDICTORS", raising=False)
-        assert type(ScalarTageSCL(make_config("full"))) is ScalarTageSCL
+    def test_roundtrips_do_not_disturb_state(self, config_key, use_folds):
+        """Snapshot/restore mid-sequence is a no-op."""
+        tripped = make_predictor(config_key)
+        plain = make_predictor(config_key)
+        assert drive(tripped, seed=71, steps=900, use_folds=use_folds,
+                     roundtrip_every=113) \
+            == drive(plain, seed=71, steps=900, use_folds=use_folds)
+        assert tripped.snapshot() == plain.snapshot()

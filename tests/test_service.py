@@ -109,6 +109,22 @@ class TestRequests:
         with pytest.raises(RequestError):
             config_from_spec(spec)
 
+    @pytest.mark.parametrize("field,value", [
+        ("depth", -3), ("depth", 0), ("buffers", -1),
+        ("confidence", "no"), ("depth", "7"),
+        ("depth", True), ("buffers", False), ("confidence", 1),
+        ("tage_banks", True), ("scheme", ["banked"]),
+    ])
+    def test_config_from_spec_validates_apf_fields(self, field, value):
+        with pytest.raises(RequestError, match=repr(field)):
+            config_from_spec({"apf": {field: value}})
+
+    def test_config_from_spec_apf_bounds_are_inclusive(self):
+        cfg = config_from_spec({"apf": {"depth": 1, "buffers": 0,
+                                        "confidence": False}})
+        assert (cfg.apf.pipeline_depth, cfg.apf.num_buffers,
+                cfg.apf.use_tage_confidence) == (1, 0, False)
+
     def test_parse_compare_fills_defaults(self):
         request = parse_request(compare_doc(["xz"]))
         assert request.kind == "compare"
@@ -417,6 +433,10 @@ class TestDaemon:
         svc, client = service
         with pytest.raises(ServiceError) as err:
             client.submit({"kind": "destroy"})
+        assert err.value.status == 400
+        with pytest.raises(ServiceError) as err:
+            client.submit({**compare_doc(["xz"]),
+                           "test": {"apf": {"depth": "7"}}})
         assert err.value.status == 400
         with pytest.raises(ServiceError) as err:
             client.status("r9999-nope")
